@@ -6,6 +6,7 @@
 //! failure modes. Callers match on one type instead of juggling per-layer
 //! errors.
 
+use crate::fault::FailureCause;
 use alvisp2p_dht::DhtError;
 
 /// Any error surfaced by the AlvisP2P public API.
@@ -25,6 +26,9 @@ pub enum AlvisError {
     InvalidRequest(String),
     /// An [`crate::network::AlvisNetworkBuilder`] configuration was invalid.
     InvalidConfig(String),
+    /// A single probe reached its key's responsible peer but returned no
+    /// usable answer (see [`crate::global_index::GlobalIndex::probe`]).
+    ProbeFailed(FailureCause),
 }
 
 impl From<DhtError> for AlvisError {
@@ -42,6 +46,7 @@ impl std::fmt::Display for AlvisError {
             }
             AlvisError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
             AlvisError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            AlvisError::ProbeFailed(cause) => write!(f, "probe failed: {cause}"),
         }
     }
 }

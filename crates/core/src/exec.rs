@@ -508,20 +508,19 @@ impl<'n> QueryStream<'n> {
 
     /// Acquires one scheduled probe from the network, surviving faults.
     ///
-    /// With an inactive [`crate::fault::FaultPlane`] this is a single
-    /// [`AlvisNetwork::probe_planned`] call — the exact pre-fault-plane code
-    /// path, so the default configuration stays byte-identical. With an
-    /// active plane, the attempt loop applies the network's
+    /// The attempt loop applies the network's
     /// [`crate::fault::RetryPolicy`]: bounded re-sends with exponential
     /// backoff and deterministic jitter in simulated time, a per-probe
     /// deadline, and — after an unresponsive peer — failover of the serve to
     /// the next live holder in the key's replica set. Every failed attempt's
     /// traffic is really charged, so retries compete against the query's
-    /// byte/hop budgets like any other spend.
+    /// byte/hop budgets like any other spend. Under
+    /// [`crate::fault::FaultPlane::NoFaults`] no attempt fails, so the first
+    /// one answers and nothing is retried.
     ///
     /// A routing-level [`DhtError::LookupFailed`] (the responsible peer is
     /// dead or the routing state is stale) is downgraded to a recorded
-    /// per-probe failure on both paths: one dead peer must not zero out an
+    /// per-probe failure: one dead peer must not zero out an
     /// otherwise-answerable query. `BadOrigin` and `EmptyNetwork` stay fatal
     /// — they mean the *querier* is in no state to run anything.
     fn acquire_probe(
@@ -531,22 +530,6 @@ impl<'n> QueryStream<'n> {
         shed: usize,
     ) -> Result<ProbeAcquisition, AlvisError> {
         let origin = self.request.origin;
-        if !self.net.fault_plane().is_active() {
-            return match self.net.probe_planned(origin, key, self.seq, floor, shed) {
-                Ok(probe) => Ok(ProbeAcquisition::Served {
-                    probe,
-                    retries: 0,
-                    hedged: false,
-                }),
-                Err(DhtError::LookupFailed) => Ok(ProbeAcquisition::Failed {
-                    cause: FailureCause::PeerDown,
-                    hops: 0,
-                    retries: 0,
-                    served_by: origin,
-                }),
-                Err(e) => Err(AlvisError::from(e)),
-            };
-        }
         let policy = self.net.retry_policy();
         let ring = key.ring_id();
         let mut retries = 0usize;

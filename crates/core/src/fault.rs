@@ -9,9 +9,9 @@
 //!   decisions: message loss, slow replies past the deadline, crashed or
 //!   stalled peers, response bit-flip corruption (caught by the codec's
 //!   checksum trailer), lost posting publications, and lost replica-sync /
-//!   stats-publication messages. The default, [`FaultPlane::NoFaults`], keeps
-//!   every byte of the query path identical to a fault-free network — pinned
-//!   by the `fault_equivalence` suite.
+//!   stats-publication messages. The default, [`FaultPlane::NoFaults`], never
+//!   fires, so the one fault-aware probe and publish path behaves exactly
+//!   like a fault-free network — pinned by the `fault_equivalence` suite.
 //! * [`RetryPolicy`] — how the executor responds: bounded retries with
 //!   exponential backoff and deterministic jitter in simulated time, a
 //!   per-probe deadline, and failover to a live replica holder of the key
@@ -26,7 +26,7 @@
 //! identifier, query sequence number, attempt index)` into a fresh
 //! [`SimRng`] and takes a single draw. No RNG state is carried between
 //! probes, so decisions are order-independent, replayable, and — crucially —
-//! an inactive plane consumes zero randomness.
+//! a decision whose rate is zero consumes no randomness.
 
 use crate::global_index::ProbeResult;
 use alvisp2p_dht::RingId;
@@ -102,6 +102,20 @@ pub enum ProbeOutcome {
     },
 }
 
+impl ProbeOutcome {
+    /// The answer of a successful attempt, or the cause a failed one
+    /// reports.
+    pub fn into_result(self) -> Result<ProbeResult, FailureCause> {
+        match self {
+            ProbeOutcome::Ok(probe) => Ok(probe),
+            ProbeOutcome::Lost { .. } => Err(FailureCause::Lost),
+            ProbeOutcome::TimedOut { .. } => Err(FailureCause::TimedOut),
+            ProbeOutcome::PeerDown { .. } => Err(FailureCause::PeerDown),
+            ProbeOutcome::Corrupt { .. } => Err(FailureCause::Corrupt),
+        }
+    }
+}
+
 /// A window of query sequence numbers during which a peer is unresponsive
 /// (a transient stall, as opposed to a [`FaultConfig::crashed`] peer).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -164,9 +178,9 @@ impl FaultConfig {
 }
 
 /// Deterministic fault injection for [`crate::global_index::GlobalIndex`]
-/// probes. The default, [`FaultPlane::NoFaults`], is structurally inert: the
-/// executor never takes the fault-aware probe path, so the query path is
-/// byte-identical to a network built before this plane existed.
+/// probes and publications. The default, [`FaultPlane::NoFaults`], answers
+/// every fault decision with "no fault", so the probe and publish paths run
+/// as on a fault-free wire.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum FaultPlane {
     /// No faults are ever injected (the default).
@@ -289,24 +303,6 @@ impl FaultPlane {
         match self {
             FaultPlane::Seeded(cfg) => cfg,
             FaultPlane::NoFaults => unreachable!("just upgraded"),
-        }
-    }
-
-    /// Whether the plane can inject anything at all. The executor only takes
-    /// the fault-aware probe path when this is `true`, so an inactive plane
-    /// is *structurally* byte-identical to the pre-fault-plane code.
-    pub fn is_active(&self) -> bool {
-        match self {
-            FaultPlane::NoFaults => false,
-            FaultPlane::Seeded(cfg) => {
-                cfg.loss_rate > 0.0
-                    || cfg.slow_rate > 0.0
-                    || cfg.corrupt_rate > 0.0
-                    || cfg.publish_loss_rate > 0.0
-                    || cfg.sync_loss_rate > 0.0
-                    || !cfg.crashed.is_empty()
-                    || !cfg.stalls.is_empty()
-            }
         }
     }
 
@@ -436,8 +432,8 @@ impl FaultPlane {
 /// deadline, and failover to a live replica holder of the key.
 ///
 /// The default policy retries twice with failover enabled — and is
-/// byte-identical to no policy at all when the [`FaultPlane`] is inactive,
-/// because retries only happen after a failed attempt.
+/// byte-identical to no policy at all when no fault fires, because retries
+/// only happen after a failed attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Maximum number of re-sends after the first attempt (`0` = no retries).
@@ -544,7 +540,6 @@ mod tests {
     #[test]
     fn no_faults_is_inert() {
         let plane = FaultPlane::default();
-        assert!(!plane.is_active());
         assert!(!plane.peer_down(0, 1));
         assert!(!plane.message_lost(ring(42), 1, 0));
         assert!(!plane.reply_timed_out(ring(42), 1, 0));
@@ -558,10 +553,20 @@ mod tests {
 
     #[test]
     fn control_plane_rates_activate_the_plane() {
-        assert!(FaultPlane::seeded(1).with_corruption(0.1).is_active());
-        assert!(FaultPlane::seeded(1).with_publish_loss(0.1).is_active());
-        assert!(FaultPlane::seeded(1).with_sync_loss(0.1).is_active());
-        assert!(!FaultPlane::seeded(1).is_active());
+        let r = ring(42);
+        assert!(FaultPlane::seeded(1)
+            .with_corruption(1.0)
+            .response_corrupt_bit(r, 1, 0, 64)
+            .is_some());
+        assert!(FaultPlane::seeded(1)
+            .with_publish_loss(1.0)
+            .publish_lost(r, 1, 0));
+        assert!(FaultPlane::seeded(1).with_sync_loss(1.0).sync_lost(r, 1, 0));
+        // A seeded plane with no rates configured fires nothing.
+        let quiet = FaultPlane::seeded(1);
+        assert!(quiet.response_corrupt_bit(r, 1, 0, 64).is_none());
+        assert!(!quiet.publish_lost(r, 1, 0) && !quiet.sync_lost(r, 1, 0));
+        assert!(!quiet.message_lost(r, 1, 0) && !quiet.reply_timed_out(r, 1, 0));
     }
 
     #[test]
@@ -629,7 +634,6 @@ mod tests {
     fn crash_stall_and_restore_track_peers() {
         let mut plane = FaultPlane::default();
         plane.crash(3);
-        assert!(plane.is_active());
         assert!(plane.peer_down(3, 1) && !plane.peer_down(4, 1));
         plane.restore(3);
         assert!(!plane.peer_down(3, 1));
@@ -637,6 +641,22 @@ mod tests {
         assert!(!plane.peer_down(5, 9));
         assert!(plane.peer_down(5, 10) && plane.peer_down(5, 20));
         assert!(!plane.peer_down(5, 21));
+    }
+
+    #[test]
+    fn probe_outcomes_map_to_their_failure_cause() {
+        let outcomes = [
+            (ProbeOutcome::Lost { hops: 1 }, FailureCause::Lost),
+            (ProbeOutcome::TimedOut { hops: 1 }, FailureCause::TimedOut),
+            (
+                ProbeOutcome::PeerDown { peer: 3, hops: 1 },
+                FailureCause::PeerDown,
+            ),
+            (ProbeOutcome::Corrupt { hops: 1 }, FailureCause::Corrupt),
+        ];
+        for (outcome, cause) in outcomes {
+            assert_eq!(outcome.into_result().unwrap_err(), cause);
+        }
     }
 
     #[test]

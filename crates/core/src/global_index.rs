@@ -11,6 +11,9 @@
 //! byte that would cross the network in the deployed system is charged to the
 //! appropriate [`TrafficCategory`].
 
+use crate::codec::ElisionStats;
+use crate::error::AlvisError;
+use crate::fault::{FaultPlane, ProbeOutcome};
 use crate::key::TermKey;
 use crate::posting::TruncatedPostingList;
 use alvisp2p_dht::{Dht, DhtConfig, DhtError, RingId};
@@ -251,9 +254,33 @@ impl GlobalIndex {
     // Publication (indexing phase)
     // ------------------------------------------------------------------
 
-    /// Publishes a delta posting list for `key` from peer `from`. The responsible peer
-    /// merges the delta into its stored entry (activating it). The delta's bytes plus
-    /// the routing messages are charged to [`TrafficCategory::Indexing`].
+    /// Publishes a delta posting list for `key` from peer `from` over a wire
+    /// without faults: [`GlobalIndex::publish`] under
+    /// [`FaultPlane::NoFaults`], which applies every publication on its first
+    /// send.
+    pub fn publish_postings(
+        &mut self,
+        from: usize,
+        key: &TermKey,
+        delta: &TruncatedPostingList,
+        capacity: usize,
+    ) -> Result<usize, DhtError> {
+        self.publish(from, key, delta, capacity, &FaultPlane::NoFaults)
+    }
+
+    /// Publishes a delta posting list for `key` from peer `from`. The
+    /// responsible peer merges the delta into its stored entry (activating
+    /// it). The delta's bytes plus the routing messages are charged to
+    /// [`TrafficCategory::Indexing`].
+    ///
+    /// The publication crosses `plane`'s wire: with the plane's
+    /// `publish_loss_rate` probability the message is dropped in flight. A
+    /// lost publish still charges its routing and request bytes (the
+    /// publisher cannot know in advance), the responsible peer never applies
+    /// the delta, the publish version does not advance, and the publication
+    /// is queued un-acked for [`GlobalIndex::republish_round`]. Every
+    /// publication — lost or not — consumes one monotonic publish sequence
+    /// number, the coordinates of its deterministic loss draws.
     ///
     /// The charge is the exact [`crate::codec`] frame length of the delta, but —
     /// unlike [`GlobalIndex::probe`], which round-trips through the codec so
@@ -263,65 +290,18 @@ impl GlobalIndex {
     /// publish would compound one grid-step of error per hop without changing
     /// any byte count; the retrieval path (the paper's cost metric) is where
     /// the quantization is made observable.
-    pub fn publish_postings(
+    pub fn publish(
         &mut self,
         from: usize,
         key: &TermKey,
         delta: &TruncatedPostingList,
         capacity: usize,
-    ) -> Result<usize, DhtError> {
-        let ring_key = key.ring_id();
-        let request_bytes = key.wire_size() + delta.wire_size();
-        // The closure borrows `key` and `delta`: no copy of the key or of the
-        // delta posting list is made to cross the (simulated) wire.
-        let info = self.dht.update(
-            from,
-            ring_key,
-            request_bytes,
-            TrafficCategory::Indexing,
-            |slot| {
-                let entry =
-                    slot.get_or_insert_with(|| KeyIndexEntry::stats_only(key.clone(), capacity));
-                entry.postings.merge(delta);
-                entry.activated = true;
-            },
-        )?;
-        // Keep any replica copies identical to the primary (no-op unless the
-        // key is hot-replicated).
-        self.dht.sync_replicas(ring_key, TrafficCategory::Indexing);
-        *self.versions.entry(ring_key).or_insert(0) += 1;
-        Ok(info.hops)
-    }
-
-    /// Like [`GlobalIndex::publish_postings`], but the publication crosses a
-    /// faulty wire: with the plane's `publish_loss_rate` probability the
-    /// message is dropped in flight. A lost publish still charges its routing
-    /// and request bytes (the publisher cannot know in advance), the
-    /// responsible peer never applies the delta, the publish version does not
-    /// advance, and the publication is queued un-acked for
-    /// [`GlobalIndex::republish_round`]. Every publication — lost or not —
-    /// consumes one monotonic publish sequence number, the coordinates of its
-    /// deterministic loss draws.
-    ///
-    /// Under [`crate::fault::FaultPlane::NoFaults`] (or a zero
-    /// `publish_loss_rate`) this is exactly `publish_postings`.
-    pub fn publish_postings_faulty(
-        &mut self,
-        from: usize,
-        key: &TermKey,
-        delta: &TruncatedPostingList,
-        capacity: usize,
-        plane: &crate::fault::FaultPlane,
+        plane: &FaultPlane,
     ) -> Result<usize, DhtError> {
         let seq = self.publish_seq;
         self.publish_seq += 1;
-        let ring_key = key.ring_id();
-        if plane.publish_lost(ring_key, seq, 0) {
-            let info = self.dht.route(from, ring_key, TrafficCategory::Indexing)?;
-            self.dht.charge_external(
-                TrafficCategory::Indexing,
-                key.wire_size() + delta.wire_size(),
-            );
+        if plane.publish_lost(key.ring_id(), seq, 0) {
+            let hops = self.charge_lost_publish(from, key, delta, TrafficCategory::Indexing)?;
             self.pending.push(PendingPublish {
                 from,
                 key: key.clone(),
@@ -331,9 +311,56 @@ impl GlobalIndex {
                 attempts: 0,
                 due_round: self.republish_rounds + 1,
             });
-            return Ok(info.hops);
+            return Ok(hops);
         }
-        self.publish_postings(from, key, delta, capacity)
+        self.apply_publish(from, key, delta, capacity, TrafficCategory::Indexing)
+    }
+
+    /// Delivers one publication to the responsible peer, which merges the
+    /// delta into its stored entry (activating it); then syncs any replica
+    /// copies and bumps the key's publish version. Shared by first sends
+    /// ([`TrafficCategory::Indexing`]) and re-sends
+    /// ([`TrafficCategory::Overlay`]). Returns the overlay hops.
+    fn apply_publish(
+        &mut self,
+        from: usize,
+        key: &TermKey,
+        delta: &TruncatedPostingList,
+        capacity: usize,
+        category: TrafficCategory,
+    ) -> Result<usize, DhtError> {
+        let ring_key = key.ring_id();
+        let request_bytes = key.wire_size() + delta.wire_size();
+        // The closure borrows `key` and `delta`: no copy of the key or of the
+        // delta posting list is made to cross the (simulated) wire.
+        let info = self
+            .dht
+            .update(from, ring_key, request_bytes, category, |slot| {
+                let entry =
+                    slot.get_or_insert_with(|| KeyIndexEntry::stats_only(key.clone(), capacity));
+                entry.postings.merge(delta);
+                entry.activated = true;
+            })?;
+        // Keep any replica copies identical to the primary (no-op unless the
+        // key is hot-replicated).
+        self.dht.sync_replicas(ring_key, category);
+        *self.versions.entry(ring_key).or_insert(0) += 1;
+        Ok(info.hops)
+    }
+
+    /// Charges a publication lost in flight: it was routed and its request
+    /// bytes crossed (part of) the wire before vanishing. Returns the hops.
+    fn charge_lost_publish(
+        &mut self,
+        from: usize,
+        key: &TermKey,
+        delta: &TruncatedPostingList,
+        category: TrafficCategory,
+    ) -> Result<usize, DhtError> {
+        let info = self.dht.route(from, key.ring_id(), category)?;
+        self.dht
+            .charge_external(category, key.wire_size() + delta.wire_size());
+        Ok(info.hops)
     }
 
     /// Number of publications still awaiting acknowledgement (`0` unless
@@ -354,7 +381,7 @@ impl GlobalIndex {
     /// Returns `(resent, applied)`. A no-op (both zero) when nothing is
     /// pending — in particular always under
     /// [`crate::fault::FaultPlane::NoFaults`].
-    pub fn republish_round(&mut self, plane: &crate::fault::FaultPlane) -> (usize, usize) {
+    pub fn republish_round(&mut self, plane: &FaultPlane) -> (usize, usize) {
         self.republish_rounds += 1;
         let round = self.republish_rounds;
         let mut resent = 0usize;
@@ -367,53 +394,30 @@ impl GlobalIndex {
             }
             p.attempts += 1;
             resent += 1;
-            let ring_key = p.key.ring_id();
             let backoff = (1u64 << p.attempts.min(8)).min(MAX_REPUBLISH_BACKOFF_ROUNDS);
-            if plane.publish_lost(ring_key, p.seq, p.attempts) {
+            let delivered = if plane.publish_lost(p.key.ring_id(), p.seq, p.attempts) {
                 // Lost again: the failed re-send still crossed part of the
                 // wire, so its routing and request bytes are charged.
-                if self
-                    .dht
-                    .route(p.from, ring_key, TrafficCategory::Overlay)
-                    .is_ok()
-                {
-                    self.dht.charge_external(
-                        TrafficCategory::Overlay,
-                        p.key.wire_size() + p.delta.wire_size(),
-                    );
-                }
+                let _ =
+                    self.charge_lost_publish(p.from, &p.key, &p.delta, TrafficCategory::Overlay);
+                false
+            } else {
+                // A routing failure (overlay churn) keeps the publication
+                // pending like a loss.
+                self.apply_publish(
+                    p.from,
+                    &p.key,
+                    &p.delta,
+                    p.capacity,
+                    TrafficCategory::Overlay,
+                )
+                .is_ok()
+            };
+            if delivered {
+                applied += 1;
+            } else {
                 p.due_round = round + backoff;
                 still_pending.push(p);
-                continue;
-            }
-            let request_bytes = p.key.wire_size() + p.delta.wire_size();
-            let key = p.key.clone();
-            let capacity = p.capacity;
-            let delta = &p.delta;
-            let result = self.dht.update(
-                p.from,
-                ring_key,
-                request_bytes,
-                TrafficCategory::Overlay,
-                |slot| {
-                    let entry = slot
-                        .get_or_insert_with(|| KeyIndexEntry::stats_only(key.clone(), capacity));
-                    entry.postings.merge(delta);
-                    entry.activated = true;
-                },
-            );
-            match result {
-                Ok(_) => {
-                    self.dht.sync_replicas(ring_key, TrafficCategory::Overlay);
-                    *self.versions.entry(ring_key).or_insert(0) += 1;
-                    applied += 1;
-                }
-                Err(_) => {
-                    // Routing failed (overlay churn): keep the publication
-                    // pending and try again after the backoff.
-                    p.due_round = round + backoff;
-                    still_pending.push(p);
-                }
             }
         }
         self.pending = still_pending;
@@ -453,25 +457,14 @@ impl GlobalIndex {
     // Probing (retrieval phase)
     // ------------------------------------------------------------------
 
-    /// Probes the global index for `key` on behalf of peer `from`.
+    /// Probes the global index for `key` on behalf of peer `from` over a
+    /// wire without faults: one [`GlobalIndex::probe_attempt`] under
+    /// [`FaultPlane::NoFaults`], with no shed prefix and the serve left to
+    /// the load-aware selection.
     ///
-    /// The probe is routed over the overlay (hops charged to
-    /// [`TrafficCategory::Retrieval`]); the responsible peer updates the key's usage
-    /// statistics (creating a statistics-only entry if the key is unknown, exactly as
-    /// QDI prescribes) and returns the posting list if the key is activated. The
-    /// response **round-trips through the wire codec** ([`crate::codec`]): the
-    /// responsible peer encodes its stored list, the encoded length is charged
-    /// to [`TrafficCategory::Retrieval`], and the querier decodes it back —
-    /// so the returned scores carry the codec's `u16` quantization and the
-    /// simulator charges exactly what the codec produced.
-    ///
-    /// With a `score_floor` (the threshold-aware probe path: the executor
-    /// feeds the running k-th merged score back, see
-    /// [`crate::exec::QueryStream`]), the responsible peer encodes only the
-    /// prefix of entries scoring at least the floor. The elided tail is
-    /// subtracted from the decoded list's `full_df`, which preserves the
-    /// original truncation status — lattice domination pruning behaves
-    /// identically with and without thresholding.
+    /// A response frame that fails to decode (the only outcome other than an
+    /// answer that a fault-free wire can produce) is the typed
+    /// [`AlvisError::ProbeFailed`], never a panic.
     pub fn probe(
         &mut self,
         from: usize,
@@ -479,12 +472,46 @@ impl GlobalIndex {
         query_seq: u64,
         stats_capacity: usize,
         score_floor: Option<f64>,
-    ) -> Result<ProbeResult, DhtError> {
-        self.probe_with(from, key, query_seq, stats_capacity, score_floor, None)
+    ) -> Result<ProbeResult, AlvisError> {
+        let outcome = self.probe_attempt(
+            from,
+            key,
+            query_seq,
+            stats_capacity,
+            score_floor,
+            None,
+            &FaultPlane::NoFaults,
+            0,
+            None,
+        )?;
+        outcome.into_result().map_err(AlvisError::ProbeFailed)
     }
 
-    /// Like [`GlobalIndex::probe`] with an optional load-shedding instruction:
-    /// with `shed_prefix = Some(p)` the serving peer degrades the answer to
+    /// One probe attempt for `key` on behalf of peer `from`, across `plane`'s
+    /// wire. This is the only function that serves a probe; under
+    /// [`FaultPlane::NoFaults`] no fault ever fires and every attempt that
+    /// routes is answered.
+    ///
+    /// The probe is routed over the overlay (hops charged to
+    /// [`TrafficCategory::Retrieval`]); the responsible peer updates the key's usage
+    /// statistics (creating a statistics-only entry if the key is unknown, exactly as
+    /// QDI prescribes) and returns the posting list if the key is activated. The
+    /// response **round-trips through the wire codec** ([`crate::codec`]): the
+    /// serving peer encodes its stored list, the encoded length is charged
+    /// to [`TrafficCategory::Retrieval`], and the querier decodes it back —
+    /// so the returned scores carry the codec's `u16` quantization and the
+    /// simulator charges exactly what the codec produced. A frame that fails
+    /// to decode is [`ProbeOutcome::Corrupt`].
+    ///
+    /// With a `score_floor` (the threshold-aware probe path: the executor
+    /// feeds the running k-th merged score back, see
+    /// [`crate::exec::QueryStream`]), the serving peer encodes only the
+    /// prefix of entries scoring at least the floor. The elided tail is
+    /// subtracted from the decoded list's `full_df`, which preserves the
+    /// original truncation status — lattice domination pruning behaves
+    /// identically with and without thresholding.
+    ///
+    /// With `shed_prefix = Some(p)` the serving peer degrades the answer to
     /// the top-`p` prefix of the stored list (by raising the effective score
     /// floor to the `p`-th entry's score) instead of queueing the full
     /// response — the overload escape hatch the `ReplicaAware` planner engages
@@ -494,112 +521,33 @@ impl GlobalIndex {
     ///
     /// Replication changes *placement only*: the probe is routed to the key
     /// exactly as before (same hops — primary and replicas sit in the same
-    /// ring neighbourhood), the usage statistics and the response bytes always
-    /// come from the primary's canonical copy (replicas are kept
-    /// byte-identical by [`alvisp2p_dht::Dht::sync_replicas`]), and only the
-    /// *serve* — who spends the request-handling capacity — moves to the
-    /// least-loaded live holder. Replication management traffic is charged to
-    /// [`TrafficCategory::Overlay`], never to Retrieval.
-    pub fn probe_with(
-        &mut self,
-        from: usize,
-        key: &TermKey,
-        query_seq: u64,
-        stats_capacity: usize,
-        score_floor: Option<f64>,
-        shed_prefix: Option<usize>,
-    ) -> Result<ProbeResult, DhtError> {
-        let ring_key = key.ring_id();
-        let info = self.dht.route(from, ring_key, TrafficCategory::Retrieval)?;
-        let primary = info.responsible;
-        self.dht.charge_external(
-            TrafficCategory::Retrieval,
-            self.probe_request_bytes + key.wire_size(),
-        );
-        // Usage statistics and response encoding happen at the primary's
-        // canonical copy, whoever ends up serving.
-        let mut encoded: Option<Vec<u8>> = None;
-        let mut elision = crate::codec::ElisionStats::default();
-        {
-            let encoded_ref = &mut encoded;
-            let elision_ref = &mut elision;
-            self.dht
-                .peer_mut(primary)
-                .store
-                .upsert_with(ring_key, |slot| {
-                    let entry = slot.get_or_insert_with(|| {
-                        KeyIndexEntry::stats_only(key.clone(), stats_capacity)
-                    });
-                    entry.usage.probes += 1;
-                    entry.usage.last_probe = query_seq;
-                    if entry.activated {
-                        entry.usage.hits += 1;
-                        let floor = shed_floor(&entry.postings, score_floor, shed_prefix);
-                        *elision_ref = crate::codec::elision_stats(&entry.postings, floor);
-                        *encoded_ref = Some(crate::codec::encode_list(&entry.postings, floor));
-                    }
-                });
-        }
-        let replica_set = self.dht.replica_holders(ring_key);
-        let served_by = if replica_set.is_empty() {
-            primary
-        } else {
-            self.dht.least_loaded_holder(ring_key).unwrap_or(primary)
-        };
-        self.dht.peer_mut(served_by).served_requests += 1;
-        self.dht.record_probe(ring_key, served_by);
-        // Response: the encoded posting list travels directly back to the
-        // requester (or a one-byte miss notice).
-        let response_bytes = encoded.as_ref().map(Vec::len).unwrap_or(1);
-        self.charge(TrafficCategory::Retrieval, response_bytes);
-        let postings = encoded.map(|bytes| {
-            crate::codec::decode_list(&bytes).expect("probe response frames are well-formed")
-        });
-        Ok(ProbeResult {
-            key: key.clone(),
-            postings,
-            hops: info.hops,
-            responsible: primary,
-            served_by,
-            replica_set,
-            skipped: false,
-            skipped_blocks: elision.skipped_blocks,
-            elided_bytes: elision.elided_bytes,
-        })
-    }
-
-    /// One attempt of a fault-aware probe: like [`GlobalIndex::probe_with`],
-    /// but consults a [`crate::fault::FaultPlane`] before the serve and may
-    /// fail with a non-fatal [`crate::fault::ProbeOutcome`] instead of an
-    /// answer. This path is only taken when the plane is active (or a
-    /// failover `serve_override` is in play) — the executor keeps calling
-    /// [`GlobalIndex::probe_with`] under
-    /// [`crate::fault::FaultPlane::NoFaults`], so the default query path is
-    /// *structurally* byte-identical to a fault-free network.
+    /// ring neighbourhood), the usage statistics and the response bytes come
+    /// from the primary's canonical copy whenever the primary is up (replicas
+    /// are kept byte-identical by [`alvisp2p_dht::Dht::sync_replicas`]), and
+    /// only the *serve* — who spends the request-handling capacity — moves to
+    /// the least-loaded live holder. Replication management traffic is
+    /// charged to [`TrafficCategory::Overlay`], never to Retrieval.
     ///
     /// Per-attempt accounting mirrors what would really cross the wire:
     ///
     /// * routing + request bytes are charged on **every** attempt (the
     ///   querier cannot know in advance that the serve will fail);
-    /// * [`crate::fault::ProbeOutcome::Lost`] /
-    ///   [`crate::fault::ProbeOutcome::PeerDown`] charge **no** response
-    ///   bytes and leave the serving side untouched — the request never
-    ///   reached a live peer (or vanished with its response);
-    /// * [`crate::fault::ProbeOutcome::TimedOut`] charges the full round
-    ///   trip and advances
+    /// * [`ProbeOutcome::Lost`] / [`ProbeOutcome::PeerDown`] charge **no**
+    ///   response bytes and leave the serving side untouched — the request
+    ///   never reached a live peer (or vanished with its response);
+    /// * [`ProbeOutcome::TimedOut`] charges the full round trip and advances
     ///   the serving side's statistics — the response crossed the wire but
     ///   arrived past the deadline;
-    /// * [`crate::fault::ProbeOutcome::Corrupt`] charges the full round trip
-    ///   and advances the serving side's statistics — the response crossed
-    ///   the wire with a flipped bit, the codec's checksum trailer rejected
-    ///   the frame at the querier, and the payload is discarded.
+    /// * [`ProbeOutcome::Corrupt`] charges the full round trip and advances
+    ///   the serving side's statistics — the response crossed the wire with
+    ///   a flipped bit, the codec's checksum trailer rejected the frame at
+    ///   the querier, and the payload is discarded.
     ///
     /// `serve_override` re-routes the serve to an explicit peer (the
     /// executor's failover target, a live holder in the key's replica set).
     /// An override that is not the primary serves from its synchronized
-    /// replica copy (see [`alvisp2p_dht::Dht::sync_replicas`]); when the
-    /// primary itself is down, its canonical usage statistics cannot advance
-    /// — exactly as in a real deployment.
+    /// replica copy when the primary is down; then the primary's canonical
+    /// usage statistics cannot advance — exactly as in a real deployment.
     #[allow(clippy::too_many_arguments)]
     pub fn probe_attempt(
         &mut self,
@@ -609,11 +557,10 @@ impl GlobalIndex {
         stats_capacity: usize,
         score_floor: Option<f64>,
         shed_prefix: Option<usize>,
-        plane: &crate::fault::FaultPlane,
+        plane: &FaultPlane,
         attempt: u32,
         serve_override: Option<usize>,
-    ) -> Result<crate::fault::ProbeOutcome, DhtError> {
-        use crate::fault::ProbeOutcome;
+    ) -> Result<ProbeOutcome, DhtError> {
         let ring_key = key.ring_id();
         let info = self.dht.route(from, ring_key, TrafficCategory::Retrieval)?;
         let primary = info.responsible;
@@ -636,13 +583,11 @@ impl GlobalIndex {
         if plane.message_lost(ring_key, query_seq, attempt) {
             return Ok(ProbeOutcome::Lost { hops: info.hops });
         }
-        let mut encoded: Option<Vec<u8>> = None;
-        let mut elision = crate::codec::ElisionStats::default();
+        let mut served = None;
         if served_by == primary || !plane.peer_down(primary, query_seq) {
             // The primary is reachable: canonical statistics and response
-            // encoding happen there, exactly as in `probe_with`.
-            let encoded_ref = &mut encoded;
-            let elision_ref = &mut elision;
+            // encoding happen there, whoever ends up serving.
+            let served_ref = &mut served;
             self.dht
                 .peer_mut(primary)
                 .store
@@ -654,42 +599,39 @@ impl GlobalIndex {
                     entry.usage.last_probe = query_seq;
                     if entry.activated {
                         entry.usage.hits += 1;
-                        let floor = shed_floor(&entry.postings, score_floor, shed_prefix);
-                        *elision_ref = crate::codec::elision_stats(&entry.postings, floor);
-                        *encoded_ref = Some(crate::codec::encode_list(&entry.postings, floor));
                     }
+                    *served_ref = response_frame(entry, score_floor, shed_prefix);
                 });
         } else if let Some(entry) = self.dht.peer(served_by).replica_store.get(&ring_key) {
             // Failover serve: the primary is down, so the holder answers from
             // its replica copy — kept byte-identical to the primary's list by
             // `sync_replicas`, so the degraded path never changes the answer.
-            if entry.activated {
-                let floor = shed_floor(&entry.postings, score_floor, shed_prefix);
-                elision = crate::codec::elision_stats(&entry.postings, floor);
-                encoded = Some(crate::codec::encode_list(&entry.postings, floor));
-            }
+            served = response_frame(entry, score_floor, shed_prefix);
         }
         self.dht.peer_mut(served_by).served_requests += 1;
         self.dht.record_probe(ring_key, served_by);
-        let response_bytes = encoded.as_ref().map(Vec::len).unwrap_or(1);
+        // Response: the encoded posting list travels directly back to the
+        // requester (or a one-byte miss notice).
+        let response_bytes = served.as_ref().map_or(1, |(frame, _)| frame.len());
         self.charge(TrafficCategory::Retrieval, response_bytes);
         if plane.reply_timed_out(ring_key, query_seq, attempt) {
             return Ok(ProbeOutcome::TimedOut { hops: info.hops });
         }
-        if let Some(bytes) = encoded.as_mut() {
-            if let Some(bit) = plane.response_corrupt_bit(ring_key, query_seq, attempt, bytes.len())
-            {
-                // A bit flips in flight; the codec's checksum trailer catches
-                // it at decode below.
-                bytes[bit / 8] ^= 1 << (bit % 8);
+        let (postings, elision) = match served {
+            None => (None, ElisionStats::default()),
+            Some((mut frame, elision)) => {
+                if let Some(bit) =
+                    plane.response_corrupt_bit(ring_key, query_seq, attempt, frame.len())
+                {
+                    // A bit flips in flight; the codec's checksum trailer
+                    // catches it at decode below.
+                    frame[bit / 8] ^= 1 << (bit % 8);
+                }
+                match crate::codec::decode_list(&frame) {
+                    Ok(list) => (Some(list), elision),
+                    Err(_) => return Ok(ProbeOutcome::Corrupt { hops: info.hops }),
+                }
             }
-        }
-        let postings = match encoded {
-            None => None,
-            Some(bytes) => match crate::codec::decode_list(&bytes) {
-                Ok(list) => Some(list),
-                Err(_) => return Ok(ProbeOutcome::Corrupt { hops: info.hops }),
-            },
         };
         Ok(ProbeOutcome::Ok(ProbeResult {
             key: key.clone(),
@@ -963,6 +905,24 @@ impl GlobalIndex {
     }
 }
 
+/// The response frame a serving peer encodes from its copy of `entry`, with
+/// what the floor elided; `None` (a one-byte miss notice) for an entry that
+/// is not activated.
+fn response_frame(
+    entry: &KeyIndexEntry,
+    score_floor: Option<f64>,
+    shed_prefix: Option<usize>,
+) -> Option<(Vec<u8>, ElisionStats)> {
+    if !entry.activated {
+        return None;
+    }
+    let floor = shed_floor(&entry.postings, score_floor, shed_prefix);
+    Some((
+        crate::codec::encode_list(&entry.postings, floor),
+        crate::codec::elision_stats(&entry.postings, floor),
+    ))
+}
+
 /// Raises the effective score floor to the `p`-th stored score when a shed
 /// prefix is requested, so the encoded response carries at most `p` entries.
 fn shed_floor(
@@ -1209,22 +1169,39 @@ mod tests {
         }
     }
 
+    /// The list a fault-free probe with a score floor and a shed prefix
+    /// returns.
+    fn shed_probe(
+        gi: &mut GlobalIndex,
+        key: &TermKey,
+        seq: u64,
+        floor: Option<f64>,
+        shed: Option<usize>,
+    ) -> TruncatedPostingList {
+        let outcome = gi
+            .probe_attempt(
+                3,
+                key,
+                seq,
+                100,
+                floor,
+                shed,
+                &FaultPlane::NoFaults,
+                0,
+                None,
+            )
+            .unwrap();
+        outcome.into_result().unwrap().postings.unwrap()
+    }
+
     #[test]
     fn shed_prefix_degrades_to_a_truncated_prefix_answer() {
         let mut gi = index(16);
         let key = TermKey::new(["shed", "probe"]);
         gi.publish_postings(0, &key, &refs(30), 100).unwrap();
-        let full = gi
-            .probe_with(3, &key, 1, 100, None, None)
-            .unwrap()
-            .postings
-            .unwrap();
+        let full = shed_probe(&mut gi, &key, 1, None, None);
         assert_eq!(full.len(), 30);
-        let shed = gi
-            .probe_with(3, &key, 2, 100, None, Some(5))
-            .unwrap()
-            .postings
-            .unwrap();
+        let shed = shed_probe(&mut gi, &key, 2, None, Some(5));
         assert_eq!(shed.len(), 5, "top-5 prefix under shedding");
         assert_eq!(
             shed.refs().iter().map(|r| r.doc).collect::<Vec<_>>(),
@@ -1237,18 +1214,10 @@ mod tests {
         // Prefix elision is not capacity truncation: pruning is unchanged.
         assert!(!shed.is_truncated());
         // A shed prefix wider than the list changes nothing.
-        let wide = gi
-            .probe_with(3, &key, 3, 100, None, Some(100))
-            .unwrap()
-            .postings
-            .unwrap();
+        let wide = shed_probe(&mut gi, &key, 3, None, Some(100));
         assert_eq!(wide.len(), 30);
         // The stricter of (score floor, shed floor) wins.
-        let both = gi
-            .probe_with(3, &key, 4, 100, Some(28.0), Some(10))
-            .unwrap()
-            .postings
-            .unwrap();
+        let both = shed_probe(&mut gi, &key, 4, Some(28.0), Some(10));
         assert_eq!(both.len(), 3, "scores 30, 29, 28 survive");
     }
 
@@ -1328,13 +1297,11 @@ mod tests {
 
     #[test]
     fn lost_publishes_stay_pending_until_republished() {
-        use crate::fault::FaultPlane;
         let mut gi = index(16);
         let plane = FaultPlane::seeded(7).with_publish_loss(1.0);
         let key = TermKey::new(["lost", "publish"]);
         let before = gi.stats_snapshot();
-        gi.publish_postings_faulty(0, &key, &refs(5), 100, &plane)
-            .unwrap();
+        gi.publish(0, &key, &refs(5), 100, &plane).unwrap();
         // The message crossed (part of) the wire: Indexing bytes charged,
         // but nothing applied and no version bump.
         let delta = gi.stats_snapshot().since(&before);
@@ -1360,12 +1327,10 @@ mod tests {
 
     #[test]
     fn republish_backs_off_while_the_wire_stays_lossy() {
-        use crate::fault::FaultPlane;
         let mut gi = index(16);
         let lossy = FaultPlane::seeded(3).with_publish_loss(1.0);
         let key = TermKey::single("unlucky");
-        gi.publish_postings_faulty(0, &key, &refs(2), 10, &lossy)
-            .unwrap();
+        gi.publish(0, &key, &refs(2), 10, &lossy).unwrap();
         let mut resent_total = 0;
         for _ in 0..20 {
             let (resent, applied) = gi.republish_round(&lossy);
@@ -1379,21 +1344,7 @@ mod tests {
     }
 
     #[test]
-    fn faultless_publish_path_matches_publish_postings() {
-        use crate::fault::FaultPlane;
-        let mut gi = index(16);
-        let key = TermKey::new(["clean", "publish"]);
-        gi.publish_postings_faulty(0, &key, &refs(4), 100, &FaultPlane::NoFaults)
-            .unwrap();
-        assert_eq!(gi.pending_publishes(), 0);
-        assert_eq!(gi.publish_version(&key), 1);
-        assert_eq!(gi.peek(&key).unwrap().postings.len(), 4);
-        assert_eq!(gi.republish_round(&FaultPlane::NoFaults), (0, 0));
-    }
-
-    #[test]
     fn corrupted_probe_responses_are_rejected_not_decoded() {
-        use crate::fault::{FaultPlane, ProbeOutcome};
         let mut gi = index(16);
         let key = TermKey::new(["bit", "flip"]);
         gi.publish_postings(0, &key, &refs(10), 100).unwrap();
@@ -1409,10 +1360,8 @@ mod tests {
         assert_eq!(gi.usage(&key).unwrap().probes, 1);
         // A clean attempt at other coordinates still answers.
         let clean = FaultPlane::seeded(5).with_corruption(0.0).with_loss(0.0);
-        let mut active = clean;
-        active.crash(usize::MAX); // keep the plane active without touching live peers
         let outcome = gi
-            .probe_attempt(2, &key, 2, 100, None, None, &active, 0, None)
+            .probe_attempt(2, &key, 2, 100, None, None, &clean, 0, None)
             .unwrap();
         assert!(matches!(outcome, ProbeOutcome::Ok(_)));
     }

@@ -589,39 +589,35 @@ impl AlvisNetwork {
     /// a fragment or sketch that loses every send is genuinely absent.
     const CONTROL_PUBLISH_ATTEMPTS: u32 = 3;
 
+    /// Sends one control-plane message of `bytes` (a ranking-statistics
+    /// fragment or a sketch frame) across the fault plane's wire. Each send
+    /// is subject to the plane's sync-loss rate: a dropped send is still
+    /// charged to `category` (the bytes crossed the wire before vanishing)
+    /// and immediately re-sent, up to
+    /// [`AlvisNetwork::CONTROL_PUBLISH_ATTEMPTS`] sends in all. Returns
+    /// whether a send was delivered.
+    fn send_control(&mut self, ring: RingId, category: TrafficCategory, bytes: usize) -> bool {
+        self.control_seq += 1;
+        let seq = self.control_seq;
+        (0..Self::CONTROL_PUBLISH_ATTEMPTS).any(|attempt| {
+            self.global.charge(category, bytes);
+            !self.config.faults.sync_lost(ring, seq, attempt)
+        })
+    }
+
     /// Publishes every peer's collection statistics to the ranking layer (L4) and
     /// aggregates them into the global statistics used for scoring.
     ///
-    /// Under an active fault plane each fragment publication is subject to
-    /// the plane's sync-loss rate: a dropped send is still charged (the bytes
-    /// crossed the wire before vanishing) and immediately re-sent up to
-    /// [`AlvisNetwork::CONTROL_PUBLISH_ATTEMPTS`] times; a fragment that loses
-    /// every send is left out of the aggregate. Inactive planes keep the path
-    /// byte-identical to the fault-free one.
+    /// Each fragment is one control-plane send
+    /// ([`AlvisNetwork::send_control`]); a fragment that loses every send is
+    /// left out of the aggregate.
     fn publish_ranking_stats(&mut self) {
         self.ranking = GlobalRankingStats::new();
-        let plane = self.config.faults.clone();
-        for (i, peer) in self.peers.iter().enumerate() {
-            let fragment = peer.collection_stats();
-            let bytes = GlobalRankingStats::fragment_wire_size(&fragment);
-            let delivered = if plane.is_active() {
-                self.control_seq += 1;
-                let seq = self.control_seq;
-                let mut delivered = false;
-                for attempt in 0..Self::CONTROL_PUBLISH_ATTEMPTS {
-                    self.global.charge(TrafficCategory::Ranking, bytes);
-                    if !plane.sync_lost(RingId(i as u64), seq, attempt) {
-                        delivered = true;
-                        break;
-                    }
-                }
-                delivered
-            } else {
-                self.global.charge(TrafficCategory::Ranking, bytes);
-                true
-            };
-            if delivered {
-                self.ranking.merge_fragment(&fragment);
+        let fragments: Vec<_> = self.peers.iter().map(|p| p.collection_stats()).collect();
+        for (i, fragment) in fragments.iter().enumerate() {
+            let bytes = GlobalRankingStats::fragment_wire_size(fragment);
+            if self.send_control(RingId(i as u64), TrafficCategory::Ranking, bytes) {
+                self.ranking.merge_fragment(fragment);
             }
         }
         // Every peer fetches the aggregated summary (doc count + average length).
@@ -721,30 +717,13 @@ impl AlvisNetwork {
             ..SketchBuildReport::default()
         };
         self.sketches.clear();
-        let plane = self.config.faults.clone();
         for (key, p) in planned {
-            // Sketch frames are control-plane traffic too: under an active
-            // plane each send may be lost (charged, then re-sent up to the
-            // bound); a sketch losing every send never reaches the querier's
-            // cache.
-            if plane.is_active() {
-                self.control_seq += 1;
-                let seq = self.control_seq;
-                let mut delivered = false;
-                for attempt in 0..Self::CONTROL_PUBLISH_ATTEMPTS {
-                    self.global.charge(TrafficCategory::Overlay, p.frame.len());
-                    if !plane.sync_lost(key.ring_id(), seq, attempt) {
-                        delivered = true;
-                        break;
-                    }
-                }
-                if !delivered {
-                    continue;
-                }
-            } else {
-                // `charge` adds the wire envelope, so the recorded Overlay
-                // bytes equal the measured `upkeep_bytes` (frame + envelope).
-                self.global.charge(TrafficCategory::Overlay, p.frame.len());
+            // Sketch frames are control-plane traffic too: a sketch losing
+            // every send never reaches the querier's cache. `charge` adds the
+            // wire envelope, so a first-send delivery records Overlay bytes
+            // equal to the measured `upkeep_bytes` (frame + envelope).
+            if !self.send_control(key.ring_id(), TrafficCategory::Overlay, p.frame.len()) {
+                continue;
             }
             report.sketched_keys += 1;
             report.upkeep_bytes += p.upkeep_bytes as u64;
@@ -935,34 +914,12 @@ impl AlvisNetwork {
         self.query_seq
     }
 
-    /// Sends one planned probe through the global index. `score_floor` is the
-    /// executor's threshold feedback: responsible peers encode only the
-    /// posting prefix at or above it (see [`GlobalIndex::probe`]); a non-zero
-    /// `shed_prefix` is the planner's shedding instruction — the serving peer
-    /// degrades to the top-`shed_prefix` posting entries (see
-    /// [`crate::plan::ReplicaAware`]).
-    pub(crate) fn probe_planned(
-        &mut self,
-        origin: usize,
-        key: &TermKey,
-        seq: u64,
-        score_floor: Option<f64>,
-        shed_prefix: usize,
-    ) -> Result<ProbeResult, DhtError> {
-        let capacity = self.config.strategy.truncation_k();
-        let shed = if shed_prefix > 0 {
-            Some(shed_prefix)
-        } else {
-            None
-        };
-        self.global
-            .probe_with(origin, key, seq, capacity, score_floor, shed)
-    }
-
-    /// One attempt of a fault-aware planned probe (see
-    /// [`GlobalIndex::probe_attempt`]). Only called by the executor when the
-    /// fault plane is active — the inactive-plane fast path stays on
-    /// [`AlvisNetwork::probe_planned`], keeping the default byte-identical.
+    /// One attempt of a planned probe, across the network's fault plane (see
+    /// [`GlobalIndex::probe_attempt`]). `score_floor` is the executor's
+    /// threshold feedback: serving peers encode only the posting prefix at
+    /// or above it; a non-zero `shed_prefix` is the planner's shedding
+    /// instruction — the serving peer degrades to the top-`shed_prefix`
+    /// posting entries (see [`crate::plan::ReplicaAware`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn probe_attempt(
         &mut self,

@@ -505,7 +505,7 @@ impl Planner for GreedyCost {
 ///    candidates (primary + replicas) are above `saturation_threshold` EWMA
 ///    serve load, the node's [`PlanNode::shed_prefix`] is set, so the serving
 ///    peer degrades to a truncated-prefix answer instead of queueing the full
-///    response (see [`GlobalIndex::probe_with`]). Disabled by default
+///    response (see [`GlobalIndex::probe_attempt`]). Disabled by default
 ///    (`shed_prefix == 0`).
 ///
 /// Wrapping a planner on an overlay without replication (or before any key

@@ -119,9 +119,8 @@ impl<'a> IndexerCtx<'a> {
     /// Routes every publication of this construction run through the given
     /// fault plane: a publication the plane drops is charged but not applied,
     /// queued for acknowledgement-driven re-publication instead (see
-    /// [`GlobalIndex::publish_postings_faulty`]). A no-op under
-    /// [`FaultPlane::NoFaults`] — publications stay byte-identical to the
-    /// fault-free path.
+    /// [`GlobalIndex::publish`]). Under the default [`FaultPlane::NoFaults`]
+    /// every publication is applied on its first send.
     pub fn with_faults(mut self, plane: FaultPlane) -> Self {
         self.faults = plane;
         self
@@ -171,13 +170,9 @@ impl<'a> IndexerCtx<'a> {
         if list.is_empty() {
             return false;
         }
-        let _ = if self.faults.is_active() {
-            self.global
-                .publish_postings_faulty(peer_index, key, &list, capacity, &self.faults)
-        } else {
-            self.global
-                .publish_postings(peer_index, key, &list, capacity)
-        };
+        let _ = self
+            .global
+            .publish(peer_index, key, &list, capacity, &self.faults);
         true
     }
 

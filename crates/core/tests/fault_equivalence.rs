@@ -1,13 +1,14 @@
 //! The fault plane must be invisible until it injects something: a network
-//! running [`FaultPlane::NoFaults`] with the default [`RetryPolicy`] is
-//! byte-identical to one built before the plane existed — same top-k
-//! documents and scores, same lattice trace, same retrieval bytes and hops —
+//! running [`FaultPlane::NoFaults`] with the default [`RetryPolicy`] answers
+//! exactly as a fault-free network did before probes and publications went
+//! through the fault-aware path — same top-k documents and scores, same
+//! lattice trace, same retrieval bytes and hops, pinned by frozen digests —
 //! and reports zero retries, zero failed probes, zero hedged serves and a
 //! completeness fraction of exactly `1.0`.
 //!
 //! Beyond the inert default, this suite pins the robustness behaviour itself:
-//! an *active* plane whose faults never fire must still be byte-identical
-//! (the retry loop's per-attempt accounting equals the plain probe path), a
+//! a seeded plane whose faults never fire must still be byte-identical to
+//! `NoFaults` (the retry loop's per-attempt accounting adds nothing), a
 //! crashed primary mid-schedule must be absorbed by retry + replica failover
 //! without changing the answer, and a crashed primary *without* replicas must
 //! degrade the answer gracefully instead of erroring out the query.
@@ -102,8 +103,58 @@ fn run(net: &mut AlvisNetwork, queries: &[String]) -> Vec<String> {
         .collect()
 }
 
+/// FNV-1a over `run()`'s lines, in order: one number that moves whenever
+/// any answer's documents or score bits, trace, bytes or hops move.
+fn digest(lines: &[String]) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for line in lines {
+        for b in line.bytes().chain(std::iter::once(b'\n')) {
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    h
+}
+
+/// The seeds every default-path and plane comparison runs under.
+const SEEDS: [u64; 2] = [11, 29];
+
+/// Runs the query mix on the default configuration — `NoFaults`, the default
+/// `RetryPolicy`, no replication — and checks `run()`'s digest against the
+/// one frozen for each seed in [`SEEDS`]. The digests were recorded while the
+/// executor still kept a separate fault-free probe and publish path, so they
+/// pin the single fault-aware path to what that fast path produced, bit for
+/// bit.
+fn assert_frozen_default(label: &str, strategy: Arc<dyn Strategy>, frozen: [u64; 2]) {
+    for (seed, expected) in SEEDS.into_iter().zip(frozen) {
+        let c = corpus(250, seed);
+        let mut net = network(
+            &c,
+            Arc::clone(&strategy),
+            Arc::new(NoReplication),
+            FaultPlane::NoFaults,
+            RetryPolicy::default(),
+            seed,
+        );
+        let lines = run(&mut net, &queries(&c));
+        for (i, line) in lines.iter().enumerate() {
+            assert!(
+                line.contains("retries=0 failed=0 hedged=0 fraction=1"),
+                "{label} seed {seed}: fault-free query {i} reported robustness activity: {line}"
+            );
+        }
+        assert_eq!(
+            digest(&lines),
+            expected,
+            "{label} seed {seed}: the default query path moved"
+        );
+    }
+}
+
+/// A network under `faults` answers the query mix exactly like the default
+/// `NoFaults` network, with zero robustness activity.
 fn assert_byte_identical(strategy_label: &str, strategy: Arc<dyn Strategy>, faults: FaultPlane) {
-    for seed in [11u64, 29] {
+    for seed in SEEDS {
         let c = corpus(250, seed);
         let qs = queries(&c);
         let mut plain = network(
@@ -140,27 +191,35 @@ fn assert_byte_identical(strategy_label: &str, strategy: Arc<dyn Strategy>, faul
 
 #[test]
 fn no_faults_is_byte_identical_for_single_term() {
-    assert_byte_identical(
+    assert_frozen_default(
         "single-term",
         Arc::new(SingleTermFull),
-        FaultPlane::NoFaults,
+        [0x7064_874f_0b35_0bad, 0x9d73_1a39_ecc2_c84f],
     );
 }
 
 #[test]
 fn no_faults_is_byte_identical_for_hdk() {
-    assert_byte_identical("hdk", Arc::new(Hdk::default()), FaultPlane::NoFaults);
+    assert_frozen_default(
+        "hdk",
+        Arc::new(Hdk::default()),
+        [0x1759_242f_c846_6719, 0x0a9c_42ba_4a2f_32bf],
+    );
 }
 
 #[test]
 fn no_faults_is_byte_identical_for_qdi() {
-    assert_byte_identical("qdi", Arc::new(Qdi::default()), FaultPlane::NoFaults);
+    assert_frozen_default(
+        "qdi",
+        Arc::new(Qdi::default()),
+        [0xc017_c7b7_d1b2_afc7, 0x6076_e1a5_5430_e40b],
+    );
 }
 
 #[test]
 fn inactive_seeded_plane_is_byte_identical() {
-    // A seeded plane with zero rates and nothing crashed is inactive: the
-    // executor must keep taking the plain probe path.
+    // A seeded plane with zero rates and nothing crashed draws no fault: it
+    // must answer exactly like `NoFaults`.
     assert_byte_identical(
         "hdk+inactive-seeded",
         Arc::new(Hdk::default()),
@@ -170,13 +229,12 @@ fn inactive_seeded_plane_is_byte_identical() {
 
 #[test]
 fn active_plane_whose_faults_never_fire_is_byte_identical() {
-    // Crashing a peer index that does not exist activates the plane — every
-    // probe now runs through the retry loop — but no fault can ever fire.
-    // This pins the retry path's per-attempt accounting (routing, request and
-    // response charges) to the plain path's, byte for byte.
+    // A crash set holding only a peer index that does not exist: the plane
+    // checks every serve against it, but no fault can ever fire. This pins
+    // the retry loop's per-attempt accounting (routing, request and response
+    // charges) to the `NoFaults` run, byte for byte.
     let mut faults = FaultPlane::seeded(7);
     faults.crash(9_999);
-    assert!(faults.is_active());
     assert_byte_identical(
         "hdk+phantom-crash",
         Arc::new(Hdk::default()),
@@ -362,7 +420,7 @@ fn routing_failures_no_longer_abort_the_query_stream() {
         .corpus(&c)
         .build_indexed()
         .expect("valid configuration");
-    assert!(!net.fault_plane().is_active());
+    assert_eq!(*net.fault_plane(), FaultPlane::NoFaults);
     let mut failed = 0usize;
     for (i, text) in qs.iter().take(12).enumerate() {
         let request = QueryRequest::new(text.clone()).from_peer(i % 24).top_k(10);

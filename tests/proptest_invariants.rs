@@ -506,8 +506,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// `demo_net` with an explicit fault configuration. With `phantom_active` the
-/// plane is *active* (a nonexistent peer is crashed, so every probe runs
-/// through the retry loop) but no fault can ever fire.
+/// plane is seeded and crashes a nonexistent peer, so every serve is checked
+/// against a crash set, but no fault can ever fire.
 fn demo_net_with_faults(
     strategy_pick: u8,
     seed: u64,
@@ -548,7 +548,7 @@ proptest! {
 
     /// `NoFaults` plus the default `RetryPolicy` is byte-identical to a
     /// network built without any fault configuration — same documents and
-    /// score bits, same trace, same bytes and hops — and so is an *active*
+    /// score bits, same trace, same bytes and hops — and so is a seeded
     /// plane whose faults never fire (pinning the retry loop's per-attempt
     /// accounting). Robustness counters stay at zero either way.
     #[test]
